@@ -220,25 +220,8 @@ func BenchmarkAblationGreedyHeapRebuild(b *testing.B) {
 	}
 }
 
-// Ablation 2: §4.1 bucket+ancestor-walk initialization vs naive
-// all-pairs distances.
-func BenchmarkAblationInitBucketed(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coverage.BuildPairs(f.doctorM, pairs)
-	}
-}
-
-func BenchmarkAblationInitNaive(b *testing.B) {
-	f := fixtures()
-	pairs := f.doctorItems[0].Pairs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coverage.BuildPairsNaive(f.doctorM, pairs)
-	}
-}
+// Ablation 2 (§4.1 bucketed vs naive initialization) lives with the
+// reference builders in internal/coverage/bench_test.go.
 
 // Ablation 3: simplex pivot rule on the k-median LP relaxation.
 func benchSimplexPivot(b *testing.B, bland bool) {

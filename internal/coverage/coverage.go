@@ -17,35 +17,38 @@
 // DAGs.) Because the average number of ancestors per concept is small,
 // construction is near-linear in |P|.
 //
-// The production builder consumes the ontology's precomputed ancestor
-// closure (ontology.Ancestors) instead of re-running a BFS per target
-// pair, stores the concept buckets as one counting-sorted CSR block
-// indexed by ConceptID instead of a map of append-lists, and fills the
-// dual CSR adjacency in two exact-size passes with no per-target
-// intermediate lists. All transient build state is recycled through a
-// sync.Pool for server workloads. The original walker-based builder is
-// kept (BuildGroupsWalker / BuildPairsWalker) as the ablation
-// reference; the equivalence tests assert the two produce identical
-// graphs.
+// buildClosure is the one from-scratch construction, used by Build,
+// BuildPairsQuantized and the incremental Index's bulk load. It reads
+// the ontology's precomputed ancestor closure (ontology.Ancestors)
+// instead of re-running a BFS per target pair, stores the concept
+// buckets as one counting-sorted block indexed by ConceptID, scans the
+// closure once while appending the backward edges to pooled scratch,
+// and derives the forward direction by a counting sort of those edges.
+// Every row is a capacity-capped slice of a block of at most 32 KiB,
+// so the incremental Index can adopt the rows and grow them by
+// reallocation. The test files keep a walker-based and a naive
+// all-pairs builder as references; the equivalence tests assert they
+// produce identical graphs.
 package coverage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"osars/internal/model"
-	"osars/internal/ontology"
 )
 
-// Graph is the immutable coverage graph. Adjacency is stored in
-// compressed sparse rows in both directions:
+// Graph is the immutable coverage graph. Adjacency is stored as one
+// row of arcs per vertex in both directions:
 //
-//   - forward:  candidate u → (pair w, distance)
-//   - backward: pair w → (candidate u, distance)
+//   - forward:  candidate u → (pair w, distance), ascending w
+//   - backward: pair w → (candidate u, distance), in closure order
 //
 // plus the per-pair root fallback distance (the depth of the pair's
-// concept), so C(F, P) is computable from the graph alone.
+// concept), so C(F, P) is computable from the graph alone, and each
+// candidate's initial greedy gain. Rows are capacity-capped, so an
+// append to one reallocates instead of writing into a neighbour or
+// into storage another graph still reads.
 type Graph struct {
 	Metric model.Metric
 	// Pairs is W: the multiset of pairs to cover, in input order.
@@ -61,64 +64,36 @@ type Graph struct {
 	// NumCandidates is |U|.
 	NumCandidates int
 
-	fwdIdx  []int32 // len NumCandidates+1
-	fwdPair []int32
-	fwdDist []int32
+	numEdges int
+	fwd      [][]Arc // per candidate: covered pairs, ascending
+	bwd      [][]Arc // per pair: covering candidates, closure order
 
-	bwdIdx  []int32 // len len(Pairs)+1
-	bwdCand []int32
-	bwdDist []int32
-
-	// Row-backed adjacency, the alternative representation set by the
-	// incremental Index's Freeze (index.go): one slice per candidate /
-	// per pair instead of the flat CSR block. Freezing then costs O(|U| +
-	// |W|) slice-header copies instead of an O(|E|) array rebuild — the
-	// rows alias the index's append-only storage (capacity-capped, so
-	// later merges reallocate rather than write through). Row contents
-	// and order are identical to the CSR rows Build produces; every
-	// accessor branches on rowBacked, so the two representations are
-	// indistinguishable through the API.
-	rowBacked  bool
-	rowEdges   int
-	rowFwdPair [][]int32 // per candidate: covered pair indices, ascending
-	rowFwdDist [][]int32
-	rowBwdCand [][]int32 // per pair: covering candidates, closure order
-	rowBwdDist [][]int32
-
-	// initGains, when non-nil, is the warm-start seed maintained by the
-	// incremental Index (index.go): initGains[u] = Σ_w max(0,
-	// RootDist[w]−d(u,w)), each candidate's initial greedy key. Batch
-	// builders leave it nil.
+	// initGains[u] = Σ_w Weight[w]·max(0, RootDist[w]−d(u,w)): the
+	// initial greedy key of candidate u.
 	initGains []int64
 }
 
-// InitGains returns the per-candidate initial greedy gains maintained
-// by the incremental index that froze this graph, or nil for graphs
-// from the batch builders. The slice is shared and must be treated as
-// read-only.
+// Arc is one entry of an adjacency row: the vertex at the other end
+// (a pair index in a forward row, a candidate index in a backward row)
+// and the Definition-1 distance of the edge.
+type Arc struct {
+	To   int32
+	Dist int32
+}
+
+// InitGains returns each candidate's initial greedy gain
+// Σ_w Weight[w]·max(0, RootDist[w]−d(u,w)). The slice is shared and
+// must be treated as read-only.
 func (g *Graph) InitGains() []int64 { return g.initGains }
 
-// Edge is one coverage relation reported by the iteration methods.
-type Edge struct {
-	Candidate int
-	Pair      int
-	Dist      int
-}
-
 // NumEdges reports |E|.
-func (g *Graph) NumEdges() int {
-	if g.rowBacked {
-		return g.rowEdges
-	}
-	return len(g.fwdPair)
-}
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Covered calls fn for every pair covered by candidate u, with the
 // Definition-1 distance. Iteration stops early if fn returns false.
 func (g *Graph) Covered(u int, fn func(w int, dist int) bool) {
-	pairs, dists := g.CoveredRow(u)
-	for i := range pairs {
-		if !fn(int(pairs[i]), int(dists[i])) {
+	for _, a := range g.fwd[u] {
+		if !fn(int(a.To), int(a.Dist)) {
 			return
 		}
 	}
@@ -127,45 +102,27 @@ func (g *Graph) Covered(u int, fn func(w int, dist int) bool) {
 // Coverers calls fn for every candidate covering pair w, with the
 // Definition-1 distance. Iteration stops early if fn returns false.
 func (g *Graph) Coverers(w int, fn func(u int, dist int) bool) {
-	cands, dists := g.CoverersRow(w)
-	for i := range cands {
-		if !fn(int(cands[i]), int(dists[i])) {
+	for _, a := range g.bwd[w] {
+		if !fn(int(a.To), int(a.Dist)) {
 			return
 		}
 	}
 }
 
 // Degree returns the number of pairs candidate u covers.
-func (g *Graph) Degree(u int) int {
-	if g.rowBacked {
-		return len(g.rowFwdPair[u])
-	}
-	return int(g.fwdIdx[u+1] - g.fwdIdx[u])
-}
+func (g *Graph) Degree(u int) int { return len(g.fwd[u]) }
 
-// CoveredRow returns the forward row of candidate u: the pair indices
-// it covers and the matching Definition-1 distances. The slices alias
-// the graph's storage and must not be modified. This is the
+// CoveredRow returns the forward row of candidate u: the pairs it
+// covers, ascending, with their Definition-1 distances. The row
+// aliases the graph's storage and must not be modified. This is the
 // allocation- and closure-free counterpart of Covered for hot loops
 // (the greedy key updates walk these rows directly).
-func (g *Graph) CoveredRow(u int) (pairs, dists []int32) {
-	if g.rowBacked {
-		return g.rowFwdPair[u], g.rowFwdDist[u]
-	}
-	lo, hi := g.fwdIdx[u], g.fwdIdx[u+1]
-	return g.fwdPair[lo:hi], g.fwdDist[lo:hi]
-}
+func (g *Graph) CoveredRow(u int) []Arc { return g.fwd[u] }
 
-// CoverersRow returns the backward row of pair w: the candidate
-// indices covering it and the matching distances. The slices alias the
-// graph's storage and must not be modified.
-func (g *Graph) CoverersRow(w int) (cands, dists []int32) {
-	if g.rowBacked {
-		return g.rowBwdCand[w], g.rowBwdDist[w]
-	}
-	lo, hi := g.bwdIdx[w], g.bwdIdx[w+1]
-	return g.bwdCand[lo:hi], g.bwdDist[lo:hi]
-}
+// CoverersRow returns the backward row of pair w: the candidates
+// covering it, with their distances. The row aliases the graph's
+// storage and must not be modified.
+func (g *Graph) CoverersRow(w int) []Arc { return g.bwd[w] }
 
 // CostScratch holds reusable state for CostOfWith so that repeated
 // cost evaluations (randomized-rounding trials, local-search guards,
@@ -213,10 +170,9 @@ func (g *Graph) CostOfWith(s *CostScratch, selected []int) float64 {
 	total := 0
 	for w := range g.Pairs {
 		best := g.RootDist[w]
-		cands, dists := g.CoverersRow(w)
-		for i := range cands {
-			if d := dists[i]; d < best && stamp[cands[i]] == gen {
-				best = d
+		for _, a := range g.bwd[w] {
+			if a.Dist < best && stamp[a.To] == gen {
+				best = a.Dist
 			}
 		}
 		total += int(best) * int(g.Weight[w])
@@ -239,33 +195,10 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("CoverageGraph(|U|=%d, |W|=%d, |E|=%d)", g.NumCandidates, len(g.Pairs), g.NumEdges())
 }
 
-// bucketEntry is one candidate-pair occurrence filed under its concept
-// during the first pass.
-type bucketEntry struct {
-	cand      int32
-	sentiment float64
-}
-
-// builder accumulates edges grouped by target pair before the CSR
-// conversion.
-type builder struct {
-	metric  model.Metric
-	pairs   []model.Pair
-	weight  []int32 // nil → all ones
-	numCand int
-	// per-target edge lists
-	edgeCand [][]int32
-	edgeDist [][]int32
-}
-
 // BuildPairs constructs the coverage graph for k-Pairs Coverage:
 // U = W = P, and candidate i is the pair P[i] itself.
 func BuildPairs(m model.Metric, pairs []model.Pair) *Graph {
-	groups := make([][]model.Pair, len(pairs))
-	for i := range pairs {
-		groups[i] = pairs[i : i+1]
-	}
-	return build(m, groups, pairs)
+	return BuildGroups(m, singletons(pairs), pairs)
 }
 
 // BuildGroups constructs the coverage graph for k-Reviews/Sentences
@@ -274,7 +207,18 @@ func BuildPairs(m model.Metric, pairs []model.Pair) *Graph {
 // concatenation of all groups). The edge weight from a group to a pair
 // is the minimum Definition-1 distance over the group's pairs.
 func BuildGroups(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	return build(m, groups, pairs)
+	g, _ := buildClosure(m, groups, pairs, nil, false)
+	return g
+}
+
+// singletons makes every pair its own candidate group (k-Pairs
+// Coverage).
+func singletons(pairs []model.Pair) [][]model.Pair {
+	groups := make([][]model.Pair, len(pairs))
+	for i := range pairs {
+		groups[i] = pairs[i : i+1]
+	}
+	return groups
 }
 
 // SentenceGroups flattens an item into per-sentence pair groups plus
@@ -282,6 +226,8 @@ func BuildGroups(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Gra
 // extracted pairs are still included (they can be selected but cover
 // nothing), preserving candidate indices aligned with sentence order.
 func SentenceGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair) {
+	groups = make([][]model.Pair, 0, item.NumSentences())
+	pairs = allocPairs(item)
 	for ri := range item.Reviews {
 		for si := range item.Reviews[ri].Sentences {
 			s := &item.Reviews[ri].Sentences[si]
@@ -293,35 +239,58 @@ func SentenceGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair
 }
 
 // ReviewGroups flattens an item into per-review pair groups plus the
-// full pair multiset P, ready for BuildGroups.
+// full pair multiset P, ready for BuildGroups. Each group is a
+// capacity-capped window of P.
 func ReviewGroups(item *model.Item) (groups [][]model.Pair, pairs []model.Pair) {
+	groups = make([][]model.Pair, len(item.Reviews))
+	pairs = allocPairs(item)
 	for ri := range item.Reviews {
-		g := item.Reviews[ri].Pairs()
-		groups = append(groups, g)
-		pairs = append(pairs, g...)
+		lo := len(pairs)
+		for si := range item.Reviews[ri].Sentences {
+			pairs = append(pairs, item.Reviews[ri].Sentences[si].Pairs...)
+		}
+		groups[ri] = pairs[lo:len(pairs):len(pairs)]
 	}
 	return groups, pairs
 }
 
-// Build constructs the coverage graph for an item at the requested
-// granularity.
-func Build(m model.Metric, item *model.Item, g model.Granularity) *Graph {
+// allocPairs returns an empty slice with room for all of item's
+// pairs, or nil when it has none.
+func allocPairs(item *model.Item) []model.Pair {
+	n := 0
+	for ri := range item.Reviews {
+		for si := range item.Reviews[ri].Sentences {
+			n += len(item.Reviews[ri].Sentences[si].Pairs)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	return make([]model.Pair, 0, n)
+}
+
+// itemGroups flattens an item into the candidate groups and pair
+// multiset of granularity g. The pairs are always the concatenation of
+// the groups.
+func itemGroups(item *model.Item, g model.Granularity) (groups [][]model.Pair, pairs []model.Pair) {
 	switch g {
 	case model.GranularityPairs:
-		return BuildPairs(m, item.Pairs())
+		pairs = item.Pairs()
+		return singletons(pairs), pairs
 	case model.GranularitySentences:
-		groups, pairs := SentenceGroups(item)
-		return BuildGroups(m, groups, pairs)
+		return SentenceGroups(item)
 	case model.GranularityReviews:
-		groups, pairs := ReviewGroups(item)
-		return BuildGroups(m, groups, pairs)
+		return ReviewGroups(item)
 	default:
 		panic(fmt.Sprintf("coverage: unknown granularity %v", g))
 	}
 }
 
-func build(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	return buildClosure(m, groups, pairs, nil)
+// Build constructs the coverage graph for an item at the requested
+// granularity.
+func Build(m model.Metric, item *model.Item, g model.Granularity) *Graph {
+	groups, pairs := itemGroups(item, g)
+	return BuildGroups(m, groups, pairs)
 }
 
 // buildScratch is the pooled transient state of buildClosure. Every
@@ -329,29 +298,43 @@ func build(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
 // solving cache misses in a loop stops allocating build scratch after
 // warm-up.
 type buildScratch struct {
-	bucketIdx  []int32   // len numConcepts+1: bucket CSR offsets
-	bucketCand []int32   // candidate of each occurrence, grouped by concept
-	bucketSent []float64 // sentiment of each occurrence
-	cursor     []int32   // per-concept fill cursor / per-candidate next
-	perW       []int32   // edges counted per target pair
-	candCount  []int32   // edges counted per candidate (+1 shifted)
-	stamp      []uint32  // per-candidate dedup stamps
-	gen        uint32
+	bucketIdx []int32      // len numConcepts+1: bucket offsets
+	bucket    []occurrence // occurrences, grouped by concept
+	cursor    []int32      // per-concept fill cursor, then per-candidate
+	bwdOff    []int32      // len |W|+1: backward row offsets
+	fwdOff    []int32      // len |U|+1: forward row offsets
+	arcs      []Arc        // backward arcs in emission order
+	fwdArcs   []Arc        // the same arcs, counting-sorted by candidate
+	anc       []int32      // closure position of each arc
+	stamp     []uint32     // per-candidate dedup stamps
+	gen       uint32
+}
+
+// occurrence is one candidate-pair occurrence of the first §4.1 pass:
+// the pair-th pair of the concatenated groups, inside candidate cand.
+type occurrence struct {
+	cand, pair int32
+	sentiment  float64
+}
+
+// bulkLoad is what buildClosure also returns for the incremental
+// Index's bulk load.
+type bulkLoad struct {
+	// occ holds the first pass's occurrences grouped by concept, in
+	// ascending concept order, each group in candidate scan order.
+	occ []occurrence
+	// anc parallels the graph's backward rows: each arc's position in
+	// its target's closure row, the order key the Index splices new
+	// arcs by.
+	anc [][]int32
 }
 
 var buildPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
-// grow32 resizes buf to n, reusing capacity.
-func grow32(buf []int32, n int) []int32 {
+// grow resizes buf to n, reusing capacity.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -369,23 +352,59 @@ func (s *buildScratch) nextGen() uint32 {
 	return s.gen
 }
 
-// buildClosure is the production §4.1 initialization. It differs from
-// the walker reference in three ways, none observable in the output:
+// rowBlock is the most elements a block of rows holds: 32 KiB of
+// Arcs, the largest allocation Go still serves from its size classes.
+// A big graph's storage is thus many small blocks rather than one huge
+// one, which the allocator reuses like any small object once an index
+// has copied its rows out of them; huge blocks leave page runs behind
+// that only another huge build fits.
+const rowBlock = 4096
+
+// copyRows sets rows[i] to a capacity-capped copy of
+// src[off[i]:off[i+1]]. Consecutive rows share a block of up to
+// rowBlock elements (a longer row gets its own), filled by one copy.
+// Empty rows are nil, so that they do not keep a block alive.
+func copyRows[T any](rows [][]T, src []T, off []int32) [][]T {
+	for i := 0; i < len(rows); {
+		j := i + 1
+		for j < len(rows) && off[j+1]-off[i] <= rowBlock {
+			j++
+		}
+		lo := off[i]
+		block := make([]T, off[j]-lo)
+		copy(block, src[lo:off[j]])
+		for ; i < j; i++ {
+			if a, b := off[i]-lo, off[i+1]-lo; a < b {
+				rows[i] = block[a:b:b]
+			}
+		}
+	}
+	return rows
+}
+
+// buildClosure is the §4.1 initialization. Against the walker
+// reference in the tests it differs in four ways, none observable in
+// the output:
 //
 //  1. the per-target ancestor BFS is replaced by a read of the
 //     ontology's precomputed closure row (same ancestor set, same BFS
 //     order, same shortest up-distances);
-//  2. the concept buckets are a counting-sorted CSR block indexed by
-//     ConceptID instead of map[ConceptID][]bucketEntry;
-//  3. edges are counted in one pass and written straight into the
-//     exact-size dual CSR in a second, instead of accumulating
-//     per-target [][]int32 append lists that finish() re-copies.
+//  2. the concept buckets are a counting-sorted block indexed by
+//     ConceptID instead of a map of append-lists;
+//  3. the backward arcs are appended to pooled scratch in one closure
+//     scan and the forward direction is a counting sort of them;
+//  4. the rows are capacity-capped copies cut from blocks of at most
+//     32 KiB.
 //
-// weight == nil means all multiplicities are 1.
-func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, weight []int32) *Graph {
+// The same scan accumulates InitGains. weight == nil means all
+// multiplicities are 1.
+//
+// forIndex asks for the bulkLoad the incremental Index starts from.
+func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, weight []int32, forIndex bool) (*Graph, bulkLoad) {
 	ont := m.Ont
 	numConcepts := ont.Len()
 	numCand := len(groups)
+	np := len(pairs)
 	root := ont.Root()
 	eps := m.Epsilon
 
@@ -393,11 +412,9 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	defer buildPool.Put(s)
 
 	// First pass (§4.1): bucket candidate pair occurrences by concept —
-	// counting sort into one CSR block.
-	bucketIdx := grow32(s.bucketIdx, numConcepts+1)
-	for i := range bucketIdx {
-		bucketIdx[i] = 0
-	}
+	// counting sort into one block.
+	bucketIdx := grow(s.bucketIdx, numConcepts+1)
+	clear(bucketIdx)
 	occ := 0
 	for _, g := range groups {
 		for _, p := range g {
@@ -408,19 +425,36 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	for c := 1; c <= numConcepts; c++ {
 		bucketIdx[c] += bucketIdx[c-1]
 	}
-	bucketCand := grow32(s.bucketCand, occ)
-	bucketSent := growF64(s.bucketSent, occ)
-	cursor := grow32(s.cursor, numConcepts)
-	if numCand > numConcepts {
-		cursor = grow32(cursor, numCand) // shared with the fwd fill below
+	var bucket []occurrence
+	if forIndex {
+		bucket = make([]occurrence, occ) // kept by the Index
+	} else {
+		bucket = grow(s.bucket, occ)
+		s.bucket = bucket
 	}
-	copy(cursor[:numConcepts], bucketIdx[:numConcepts])
+	cursor := grow(s.cursor, max(numConcepts, numCand))
+	copy(cursor, bucketIdx[:numConcepts])
+	i := int32(0)
 	for u, g := range groups {
 		for _, p := range g {
-			pos := cursor[p.Concept]
+			bucket[cursor[p.Concept]] = occurrence{cand: int32(u), pair: i, sentiment: p.Sentiment}
 			cursor[p.Concept]++
-			bucketCand[pos] = int32(u)
-			bucketSent[pos] = p.Sentiment
+			i++
+		}
+	}
+
+	g := &Graph{
+		Metric:        m,
+		Pairs:         pairs,
+		RootDist:      make([]int32, np),
+		Weight:        weight,
+		NumCandidates: numCand,
+		initGains:     make([]int64, numCand),
+	}
+	if g.Weight == nil {
+		g.Weight = make([]int32, np)
+		for w := range g.Weight {
+			g.Weight[w] = 1
 		}
 	}
 
@@ -430,99 +464,33 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 	}
 	stamp := s.stamp[:numCand]
 
-	// Second pass, count stage: for each target pair, scan its
-	// concept's closure row and probe the buckets, counting edges per
-	// target and per candidate. BFS order in the row gives
-	// non-decreasing distances, so the first qualifying occurrence of a
-	// candidate is its minimum edge weight; the stamp dedups.
-	perW := grow32(s.perW, len(pairs))
-	candCount := grow32(s.candCount, numCand+1)
-	for i := range candCount {
-		candCount[i] = 0
-	}
+	// Second pass: for each target pair, scan its concept's closure row
+	// and probe the buckets. BFS order in the row gives non-decreasing
+	// distances, so the first qualifying occurrence of a candidate is
+	// its minimum edge weight; the stamp dedups.
+	bwdOff := grow(s.bwdOff, np+1)
+	fwdOff := grow(s.fwdOff, numCand+1)
+	clear(fwdOff)
+	arcs, ancPos := s.arcs[:0], s.anc[:0]
+	gains := g.initGains
+	bwdOff[0] = 0
 	for w := range pairs {
 		target := &pairs[w]
-		gen := s.nextGen()
-		ids, _ := ont.Ancestors(target.Concept)
-		n := int32(0)
-		for _, anc := range ids {
-			isRoot := anc == root
-			for bi := bucketIdx[anc]; bi < bucketIdx[anc+1]; bi++ {
-				cand := bucketCand[bi]
-				if stamp[cand] == gen {
-					continue
-				}
-				if !isRoot {
-					diff := bucketSent[bi] - target.Sentiment
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > eps {
-						continue
-					}
-				}
-				stamp[cand] = gen
-				candCount[cand+1]++
-				n++
-			}
-		}
-		perW[w] = n
-	}
-
-	g := &Graph{
-		Metric:        m,
-		Pairs:         pairs,
-		RootDist:      make([]int32, len(pairs)),
-		Weight:        weight,
-		NumCandidates: numCand,
-	}
-	if g.Weight == nil {
-		g.Weight = make([]int32, len(pairs))
-		for w := range g.Weight {
-			g.Weight[w] = 1
-		}
-	}
-	for w := range pairs {
-		g.RootDist[w] = int32(ont.Depth(pairs[w].Concept))
-	}
-
-	// Exact-size dual CSR, offsets from the counts.
-	g.bwdIdx = make([]int32, len(pairs)+1)
-	for w := range pairs {
-		g.bwdIdx[w+1] = g.bwdIdx[w] + perW[w]
-	}
-	total := int(g.bwdIdx[len(pairs)])
-	g.bwdCand = make([]int32, total)
-	g.bwdDist = make([]int32, total)
-	for u := 1; u <= numCand; u++ {
-		candCount[u] += candCount[u-1]
-	}
-	g.fwdIdx = candCount[:numCand+1]
-	// fwdIdx is retained by the Graph, so it must leave the pool.
-	g.fwdIdx = append([]int32(nil), g.fwdIdx...)
-	g.fwdPair = make([]int32, total)
-	g.fwdDist = make([]int32, total)
-
-	// Second pass, fill stage: identical iteration (so identical dedup
-	// decisions and edge order), writing both CSR directions directly.
-	next := grow32(cursor, numCand) // reuse: per-candidate fwd cursor
-	copy(next, g.fwdIdx[:numCand])
-	bp := int32(0)
-	for w := range pairs {
-		target := &pairs[w]
+		rd := int32(ont.Depth(target.Concept))
+		g.RootDist[w] = rd
+		wt := int64(g.Weight[w])
 		gen := s.nextGen()
 		ids, dists := ont.Ancestors(target.Concept)
-		w32 := int32(w)
 		for ai, anc := range ids {
 			isRoot := anc == root
 			d := dists[ai]
-			for bi := bucketIdx[anc]; bi < bucketIdx[anc+1]; bi++ {
-				cand := bucketCand[bi]
+			for _, o := range bucket[bucketIdx[anc]:bucketIdx[anc+1]] {
+				cand := o.cand
 				if stamp[cand] == gen {
 					continue
 				}
 				if !isRoot {
-					diff := bucketSent[bi] - target.Sentiment
+					diff := o.sentiment - target.Sentiment
 					if diff < 0 {
 						diff = -diff
 					}
@@ -531,189 +499,48 @@ func buildClosure(m model.Metric, groups [][]model.Pair, pairs []model.Pair, wei
 					}
 				}
 				stamp[cand] = gen
-				g.bwdCand[bp] = cand
-				g.bwdDist[bp] = d
-				bp++
-				pos := next[cand]
-				next[cand]++
-				g.fwdPair[pos] = w32
-				g.fwdDist[pos] = d
+				arcs = append(arcs, Arc{To: cand, Dist: d})
+				if forIndex {
+					ancPos = append(ancPos, int32(ai))
+				}
+				fwdOff[cand+1]++
+				if diff := rd - d; diff > 0 {
+					gains[cand] += int64(diff) * wt
+				}
 			}
 		}
+		bwdOff[w+1] = int32(len(arcs))
+	}
+
+	// Forward direction: counting sort of the backward arcs by
+	// candidate. Targets are visited in ascending order, so every
+	// forward row comes out sorted.
+	total := len(arcs)
+	g.numEdges = total
+	for u := 1; u <= numCand; u++ {
+		fwdOff[u] += fwdOff[u-1]
+	}
+	fwd := grow(s.fwdArcs, total)
+	next := cursor[:numCand]
+	copy(next, fwdOff[:numCand])
+	for w := 0; w < np; w++ {
+		for _, a := range arcs[bwdOff[w]:bwdOff[w+1]] {
+			fwd[next[a.To]] = Arc{To: int32(w), Dist: a.Dist}
+			next[a.To]++
+		}
+	}
+
+	rows := make([][]Arc, np+numCand)
+	g.bwd = copyRows(rows[:np:np], arcs, bwdOff)
+	g.fwd = copyRows(rows[np:], fwd, fwdOff)
+	var bulk bulkLoad
+	if forIndex {
+		bulk = bulkLoad{occ: bucket, anc: copyRows(make([][]int32, np), ancPos, bwdOff)}
 	}
 
 	// Return the (possibly re-grown) scratch slices to the pool entry.
 	s.bucketIdx = bucketIdx
-	s.bucketCand = bucketCand
-	s.bucketSent = bucketSent
-	s.cursor = next
-	s.perW = perW
-	s.candCount = candCount[:0]
-	return g
-}
-
-// BuildGroupsWalker is the pre-closure reference builder: per-target
-// AncestorWalker BFS with map-backed buckets and per-target append
-// lists. Kept for the ablation benchmark and the equivalence tests;
-// production code paths use the closure-based builder.
-func BuildGroupsWalker(m model.Metric, groups [][]model.Pair, pairs []model.Pair) *Graph {
-	b := builder{
-		metric:   m,
-		pairs:    pairs,
-		numCand:  len(groups),
-		edgeCand: make([][]int32, len(pairs)),
-		edgeDist: make([][]int32, len(pairs)),
-	}
-	fillEdges(&b, groups)
-	return b.finish()
-}
-
-// BuildPairsWalker is BuildPairs through the walker reference builder.
-func BuildPairsWalker(m model.Metric, pairs []model.Pair) *Graph {
-	groups := make([][]model.Pair, len(pairs))
-	for i := range pairs {
-		groups[i] = pairs[i : i+1]
-	}
-	return BuildGroupsWalker(m, groups, pairs)
-}
-
-// fillEdges runs the two §4.1 passes, populating the per-target edge
-// lists of the builder.
-func fillEdges(b *builder, groups [][]model.Pair) {
-	m := b.metric
-	pairs := b.pairs
-
-	// First pass (§4.1): bucket candidate pair occurrences by concept.
-	buckets := make(map[ontology.ConceptID][]bucketEntry)
-	for u, g := range groups {
-		for _, p := range g {
-			buckets[p.Concept] = append(buckets[p.Concept], bucketEntry{int32(u), p.Sentiment})
-		}
-	}
-
-	// Second pass: for each target pair, walk ancestors of its concept
-	// and probe buckets. BFS order gives non-decreasing distances, so
-	// the first qualifying occurrence of a candidate yields its
-	// minimum edge weight; a stamp array deduplicates candidates.
-	root := m.Ont.Root()
-	walker := ontology.NewAncestorWalker(m.Ont)
-	stamp := make([]int32, len(groups))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for w, target := range pairs {
-		w32 := int32(w)
-		walker.Walk(target.Concept, func(anc ontology.ConceptID, dist int) bool {
-			isRoot := anc == root
-			for _, e := range buckets[anc] {
-				if stamp[e.cand] == w32 {
-					continue
-				}
-				if !isRoot {
-					diff := e.sentiment - target.Sentiment
-					if diff < 0 {
-						diff = -diff
-					}
-					if diff > m.Epsilon {
-						continue
-					}
-				}
-				stamp[e.cand] = w32
-				b.edgeCand[w] = append(b.edgeCand[w], e.cand)
-				b.edgeDist[w] = append(b.edgeDist[w], int32(dist))
-			}
-			return true
-		})
-	}
-}
-
-// finish converts the per-target edge lists into the dual CSR layout.
-func (b *builder) finish() *Graph {
-	g := &Graph{
-		Metric:        b.metric,
-		Pairs:         b.pairs,
-		RootDist:      make([]int32, len(b.pairs)),
-		Weight:        b.weight,
-		NumCandidates: b.numCand,
-	}
-	if g.Weight == nil {
-		g.Weight = make([]int32, len(b.pairs))
-		for w := range g.Weight {
-			g.Weight[w] = 1
-		}
-	}
-	for w, p := range b.pairs {
-		g.RootDist[w] = int32(b.metric.Ont.Depth(p.Concept))
-	}
-
-	total := 0
-	for w := range b.edgeCand {
-		total += len(b.edgeCand[w])
-	}
-
-	// Backward CSR: straight copy of the per-target lists.
-	g.bwdIdx = make([]int32, len(b.pairs)+1)
-	g.bwdCand = make([]int32, 0, total)
-	g.bwdDist = make([]int32, 0, total)
-	for w := range b.edgeCand {
-		g.bwdIdx[w] = int32(len(g.bwdCand))
-		g.bwdCand = append(g.bwdCand, b.edgeCand[w]...)
-		g.bwdDist = append(g.bwdDist, b.edgeDist[w]...)
-	}
-	g.bwdIdx[len(b.pairs)] = int32(len(g.bwdCand))
-
-	// Forward CSR: counting sort of the same edges by candidate.
-	counts := make([]int32, b.numCand+1)
-	for w := range b.edgeCand {
-		for _, u := range b.edgeCand[w] {
-			counts[u+1]++
-		}
-	}
-	for u := 1; u <= b.numCand; u++ {
-		counts[u] += counts[u-1]
-	}
-	g.fwdIdx = counts
-	g.fwdPair = make([]int32, total)
-	g.fwdDist = make([]int32, total)
-	next := make([]int32, b.numCand)
-	for w := range b.edgeCand {
-		for i, u := range b.edgeCand[w] {
-			pos := g.fwdIdx[u] + next[u]
-			next[u]++
-			g.fwdPair[pos] = int32(w)
-			g.fwdDist[pos] = b.edgeDist[w][i]
-		}
-	}
-	return g
-}
-
-// BuildPairsNaive is the ablation reference for the initialization
-// phase: it computes all |P|² Definition-1 distances directly instead
-// of using the bucket + ancestor-walk passes. Used only by tests and
-// the ablation benchmark (DESIGN.md ablation 2).
-func BuildPairsNaive(m model.Metric, pairs []model.Pair) *Graph {
-	b := builder{
-		metric:   m,
-		pairs:    pairs,
-		numCand:  len(pairs),
-		edgeCand: make([][]int32, len(pairs)),
-		edgeDist: make([][]int32, len(pairs)),
-	}
-	for w, target := range pairs {
-		type edge struct{ cand, dist int32 }
-		var edges []edge
-		for u, cand := range pairs {
-			if d := m.PairDistance(cand, target); d < model.Infinite {
-				edges = append(edges, edge{int32(u), int32(d)})
-			}
-		}
-		// Match the walker's non-decreasing-distance edge order so the
-		// two builders produce comparable graphs.
-		sort.SliceStable(edges, func(i, j int) bool { return edges[i].dist < edges[j].dist })
-		for _, e := range edges {
-			b.edgeCand[w] = append(b.edgeCand[w], e.cand)
-			b.edgeDist[w] = append(b.edgeDist[w], e.dist)
-		}
-	}
-	return b.finish()
+	s.cursor, s.bwdOff, s.fwdOff = cursor, bwdOff, fwdOff
+	s.arcs, s.fwdArcs, s.anc = arcs, fwd, ancPos
+	return g, bulk
 }

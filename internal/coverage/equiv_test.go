@@ -13,21 +13,20 @@ import (
 )
 
 // graphEdges flattens a graph's forward adjacency into a comparable
-// form: for every candidate, the (pair, dist) edge list in CSR order.
+// form: for every candidate, the (pair, dist) edge list in row order.
 func graphEdges(t *testing.T, g *Graph) [][][2]int {
 	t.Helper()
 	out := make([][][2]int, g.NumCandidates)
 	for u := 0; u < g.NumCandidates; u++ {
-		pairs, dists := g.CoveredRow(u)
-		for k := range pairs {
-			out[u] = append(out[u], [2]int{int(pairs[k]), int(dists[k])})
+		for _, a := range g.CoveredRow(u) {
+			out[u] = append(out[u], [2]int{int(a.To), int(a.Dist)})
 		}
 	}
 	return out
 }
 
-// requireGraphsEqual asserts the closure-built and walker-built graphs
-// are identical: same candidates, pairs, weights, edges and distances.
+// requireGraphsEqual asserts two graphs are identical: same
+// candidates, pairs, weights, edges, distances and initial gains.
 func requireGraphsEqual(t *testing.T, got, want *Graph, label string) {
 	t.Helper()
 	if got.NumCandidates != want.NumCandidates {
@@ -39,6 +38,9 @@ func requireGraphsEqual(t *testing.T, got, want *Graph, label string) {
 	if !reflect.DeepEqual(got.Weight, want.Weight) {
 		t.Fatalf("%s: Weight differs:\n got %v\nwant %v", label, got.Weight, want.Weight)
 	}
+	if !reflect.DeepEqual(got.InitGains(), want.InitGains()) {
+		t.Fatalf("%s: InitGains differ:\n got %v\nwant %v", label, got.InitGains(), want.InitGains())
+	}
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("%s: NumEdges = %d, want %d", label, got.NumEdges(), want.NumEdges())
 	}
@@ -46,11 +48,9 @@ func requireGraphsEqual(t *testing.T, got, want *Graph, label string) {
 	if !reflect.DeepEqual(ge, we) {
 		t.Fatalf("%s: forward edges differ:\n got %v\nwant %v", label, ge, we)
 	}
-	// Backward CSR must mirror the same edge set.
+	// Backward rows must mirror the same edge set.
 	for w := range got.Pairs {
-		gc, gd := got.CoverersRow(w)
-		wc, wd := want.CoverersRow(w)
-		if !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gd, wd) {
+		if !reflect.DeepEqual(got.CoverersRow(w), want.CoverersRow(w)) {
 			t.Fatalf("%s: coverers of pair %d differ", label, w)
 		}
 	}
@@ -99,7 +99,7 @@ func diamondOntology(t testing.TB) (*ontology.Ontology, map[string]ontology.Conc
 }
 
 // TestClosureBuilderMatchesWalkerMultiParent pins the closure-based
-// builder against the AncestorWalker reference on a DAG where concepts
+// builder against the walker reference on a DAG where concepts
 // have several parents and therefore several root paths.
 func TestClosureBuilderMatchesWalkerMultiParent(t *testing.T) {
 	o, ids := diamondOntology(t)

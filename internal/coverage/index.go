@@ -2,11 +2,14 @@
 // appendable form so an append-heavy corpus pays O(delta) per new
 // review instead of a full rebuild per summary.
 //
-// Build (coverage.go) is a batch algorithm: pass 1 counting-sorts every
-// candidate-pair occurrence into per-concept buckets, pass 2 scans each
-// target pair's ancestor closure over those buckets. Both passes have a
-// property the Index exploits: appending reviews only ever EXTENDS the
-// state the passes derive —
+// An empty index loads its first reviews through buildClosure, the
+// batch builder (coverage.go), and keeps its output as is: the graph
+// (handed out unchanged), each backward arc's closure position, and
+// the first pass's occurrences, already grouped by concept. The first
+// merge turns that into the index's own state in O(|U| + |W| + |E|)
+// (materializeLocked); later reviews are merged incrementally. Both
+// §4.1 passes have a property the merge exploits: appending reviews
+// only ever EXTENDS the state the passes derive —
 //
 //   - occurrences of new candidates land at the TAIL of their concept
 //     buckets (bucket order is the global candidate scan order, and new
@@ -20,23 +23,23 @@
 //     ones at equal positions, because within one bucket the old
 //     occurrences precede the tail).
 //
-// Merge applies exactly that: it appends the delta's occurrences,
-// re-probes ONLY the dirty bucket tails for the affected old targets
-// (found through the ontology's descendant sets, not a corpus scan),
-// and runs the normal closure scan for the delta's own targets. Freeze
-// hands out a row-backed Graph whose adjacency aliases the index's own
-// per-row storage — O(|U| + |W|) slice-header copies, not an O(|E|)
-// CSR rebuild — with the same per-row edge order as buildClosure; the
-// equivalence tests fuzz row-identity against Build from scratch.
+// mergeLocked applies exactly that: it appends the delta's
+// occurrences, re-probes ONLY the dirty bucket tails for the affected
+// old targets (found through the ontology's descendant sets, not a
+// corpus scan), and runs the normal closure scan for the delta's own
+// targets. Graph hands out a Graph whose rows alias the index's own
+// rows — O(|U| + |W|) slice-header copies, not an O(|E|) rebuild — with
+// the same per-row edge order as buildClosure; the equivalence tests
+// fuzz row-identity against Build from scratch.
 //
-// The index also maintains each candidate's initial greedy gain
-// Σ_w max(0, RootDist[w] − d(u,w)) as it merges, so a frozen graph
-// carries the warm-start seed (Graph.InitGains) and GreedyWarm can
-// skip the O(|E|) key-initialization scan.
+// The merge also maintains each candidate's initial greedy gain
+// Σ_w max(0, RootDist[w] − d(u,w)), so every graph the index hands
+// out carries an up-to-date Graph.InitGains.
 package coverage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"osars/internal/model"
@@ -45,9 +48,9 @@ import (
 
 // Index is the appendable form of the coverage graph for one item at
 // one granularity under one metric (ontology + ε). All methods are
-// safe for concurrent use; Merge serializes against Freeze, and a
-// frozen Graph only aliases append-only arrays, so graphs handed out
-// earlier never observe later merges.
+// safe for concurrent use; merges serialize against Graph, and a
+// handed-out Graph only aliases storage later merges never write, so
+// graphs handed out earlier never observe later merges.
 type Index struct {
 	mu     sync.Mutex
 	metric model.Metric
@@ -56,41 +59,36 @@ type Index struct {
 	numReviews int // reviews merged so far
 	numCand    int // |U|
 
-	// Append-only parallels of the Graph's W arrays. Frozen graphs
+	// Append-only parallels of the Graph's W arrays. Handed-out graphs
 	// alias prefixes of these; merges only ever append past them.
 	pairs    []model.Pair
 	rootDist []int32
 	ones     []int32 // all-ones Weight backing
 
-	// Per-concept occurrence buckets, in global candidate scan order
-	// (pass 1 of §4.1, kept live instead of rebuilt per solve).
-	bucketCand [][]int32
-	bucketSent [][]float64
+	// One occurrence bucket per concept that has occurred (pass 1 of
+	// §4.1, kept live instead of rebuilt per solve); slot[c] is 1 + the
+	// position of concept c's bucket, 0 while c has none. Only slot is
+	// the size of the ontology, and it holds no pointers.
+	slot    []int32
+	buckets []bucket
 
-	// targetsByConcept[c] lists the pair indices whose concept is c, so
-	// a merge finds the old targets affected by a dirty concept through
-	// Descendants(c) instead of scanning the whole multiset.
-	targetsByConcept [][]int32
-
-	// Per-target edge rows in buildClosure emission order
+	// Per-target backward rows in buildClosure emission order
 	// (ancestor-major, bucket-position-minor). edgeAnc records each
-	// edge's position in the target's ancestor closure row — the sort
-	// key that lets a merge splice new tail edges into an old row.
-	edgeCand [][]int32
-	edgeDist [][]int32
+	// arc's position in the target's ancestor closure row — the sort
+	// key that lets a merge splice new tail arcs into an old row.
+	bwd      [][]Arc
 	edgeAnc  [][]int32
 	numEdges int
 
 	// Per-candidate forward rows (candidate → covered targets,
-	// ascending target order — the same order as buildClosure's forward
-	// CSR). Old candidates only ever gain edges to NEW targets (their
+	// ascending target order — the same order as buildClosure's).
+	// Old candidates only ever gain arcs to NEW targets (their
 	// occurrences are immutable, so no new edge to an old target can
 	// involve them), and new targets are scanned in ascending order, so
 	// in-place tail appends preserve the sort. New candidates
 	// additionally receive old targets out of order during the patch
 	// phase; mergeLocked sorts that prefix once at the end.
-	fwdPair [][]int32
-	fwdDist [][]int32
+	fwd [][]Arc
 
 	// gain[u] = Σ_w max(0, rootDist[w] − d(u,w)): the candidate's
 	// initial greedy key, maintained edge by edge.
@@ -98,97 +96,144 @@ type Index struct {
 
 	// Dedup scratch (candidate stamps per target scan, target stamps
 	// per merge) and the per-merge dirty-bucket bookkeeping.
-	stamp     []uint32
-	gen       uint32
-	tStamp    []uint32
-	tGen      uint32
-	dirtyFrom []int32 // pre-merge bucket length, valid while dirtyMark
-	dirtyMark []bool
-	dirty     []ontology.ConceptID
-	pendCand  []int32 // patch scratch: pending new edges of one target
-	pendDist  []int32
-	pendAnc   []int32
+	stamp   []uint32
+	gen     uint32
+	tStamp  []uint32
+	tGen    uint32
+	dirty   []int32 // positions of the buckets the merge appends to
+	pend    []Arc   // patch scratch: pending new arcs of one target
+	pendAnc []int32
 
-	// Memoized Freeze: valid while no merge has run since.
-	frozen        *Graph
-	frozenReviews int
+	// Memoized graph: valid while no merge has run since.
+	frozen *Graph
+
+	// pending is set from a bulk load until the first merge: the rows,
+	// outer row slices and gains are still the bulk-load graph's, and
+	// the buckets and closure positions still in buildClosure's form.
+	pending *bulkLoad
 }
 
 // NewIndex returns an empty index for the metric and granularity. The
 // ontology is pinned: after a hot-swap the store discards the index
 // (annotations change too) rather than migrating it.
 func NewIndex(m model.Metric, g model.Granularity) *Index {
-	n := m.Ont.Len()
-	return &Index{
-		metric:           m,
-		gran:             g,
-		bucketCand:       make([][]int32, n),
-		bucketSent:       make([][]float64, n),
-		targetsByConcept: make([][]int32, n),
-		dirtyFrom:        make([]int32, n),
-		dirtyMark:        make([]bool, n),
-	}
+	return &Index{metric: m, gran: g}
 }
 
-// NumReviews reports how many reviews have been merged.
-func (x *Index) NumReviews() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.numReviews
+// bucket holds one concept's occurrences in global candidate scan
+// order. Every occurrence is also a target pair, so a bucket doubles
+// as the list of targets with that concept: a merge finds the old
+// targets affected by a dirty concept through Descendants(c) instead
+// of scanning the whole multiset.
+type bucket struct {
+	concept   ontology.ConceptID
+	occ       []occurrence
+	dirty     bool  // the current merge appends to occ
+	dirtyFrom int32 // len(occ) before the merge, valid while dirty
 }
 
-// Merge appends new reviews to the index in O(delta +
-// affected-old-targets) time. Reviews must be the continuation of the
-// sequence merged so far (the store's copy-on-write items guarantee
-// appends preserve the prefix).
-func (x *Index) Merge(reviews []model.Review) {
-	if len(reviews) == 0 {
-		return
+// bucketLocked returns concept c's bucket, or nil while c has none.
+func (x *Index) bucketLocked(c ontology.ConceptID) *bucket {
+	if s := x.slot[c]; s != 0 {
+		return &x.buckets[s-1]
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.mergeLocked(reviews)
+	return nil
+}
+
+// addBucketLocked gives concept c a bucket holding occ.
+func (x *Index) addBucketLocked(c ontology.ConceptID, occ []occurrence) *bucket {
+	x.buckets = append(x.buckets, bucket{concept: c, occ: occ})
+	x.slot[c] = int32(len(x.buckets))
+	return &x.buckets[len(x.buckets)-1]
 }
 
 // Advance merges the suffix of item's reviews the index has not seen
-// yet. A stale snapshot (item shorter than the index) is a no-op, so
-// concurrent advancers against different snapshots are safe.
+// yet. The item's reviews must continue the sequence merged so far
+// (the store's copy-on-write items guarantee appends preserve the
+// prefix). A stale snapshot (item shorter than the index) is a no-op,
+// so concurrent advancers against different snapshots are safe.
 func (x *Index) Advance(item *model.Item) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.numReviews >= len(item.Reviews) {
-		return
-	}
-	x.mergeLocked(item.Reviews[x.numReviews:])
+	x.advanceLocked(item.Reviews)
 }
 
-// Freeze converts the index into an immutable Graph whose rows are
-// identical to Build from scratch over the merged corpus. The copy is
-// O(|U| + |W|) slice headers (the rows themselves are aliased, see
-// freezeLocked) and the result is memoized until the next merge.
-func (x *Index) Freeze() *Graph {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.freezeLocked()
-}
-
-// Graph returns the frozen graph for the given item snapshot, catching
-// the index up first if the snapshot has reviews the index has not
-// merged (recovered entries, replicas applying streamed ops). It
-// returns nil when the index has already merged PAST the snapshot —
-// the caller's view is older than the index and only a from-scratch
-// build can serve it.
+// Graph returns the coverage graph for the given item snapshot,
+// identical to Build from scratch over it, catching the index up first
+// if the snapshot has reviews the index has not merged (recovered
+// entries, replicas applying streamed ops). The result is memoized
+// until the next merge. It returns nil when the index has already
+// merged PAST the snapshot — the caller's view is older than the index
+// and only a from-scratch build can serve it.
 func (x *Index) Graph(item *model.Item) *Graph {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	n := len(item.Reviews)
-	if x.numReviews > n {
+	if x.numReviews > len(item.Reviews) {
 		return nil
 	}
-	if x.numReviews < n {
-		x.mergeLocked(item.Reviews[x.numReviews:])
-	}
+	x.advanceLocked(item.Reviews)
 	return x.freezeLocked()
+}
+
+// advanceLocked brings the index up to reviews: a from-scratch build
+// while the index is empty, an incremental merge of the unseen suffix
+// after that.
+func (x *Index) advanceLocked(reviews []model.Review) {
+	switch {
+	case x.numReviews >= len(reviews):
+	case x.numReviews == 0:
+		x.loadLocked(reviews)
+	default:
+		x.mergeLocked(reviews[x.numReviews:])
+	}
+}
+
+// loadLocked fills an empty index from buildClosure's output, which
+// becomes the memoized graph. The rest of the index state waits for
+// the first merge (materializeLocked), so a rebuild that only serves
+// solves costs little more than Build.
+func (x *Index) loadLocked(reviews []model.Review) {
+	groups, pairs := itemGroups(&model.Item{Reviews: reviews}, x.gran)
+	g, bulk := buildClosure(x.metric, groups, pairs, nil, true)
+	x.numReviews = len(reviews)
+	x.numCand = len(groups)
+	x.pairs, x.rootDist, x.ones = g.Pairs, g.RootDist, g.Weight
+	x.bwd, x.fwd, x.gain = g.bwd, g.fwd, g.initGains
+	x.numEdges = g.numEdges
+	x.frozen, x.pending = g, &bulk
+}
+
+// materializeLocked turns a bulk load into the index's own state
+// before the first merge writes to it. It copies the rows, one
+// allocation each: left in the graph's blocks, the rows later merges
+// never touch would keep those blocks alive after the graph is
+// dropped, next to the rows merges reallocate. The buckets are one
+// per run of the concept-grouped occurrences, capacity-capped so
+// appends reallocate.
+func (x *Index) materializeLocked() {
+	b := x.pending
+	x.bwd, x.fwd, x.edgeAnc = cloneRows(x.bwd), cloneRows(x.fwd), cloneRows(b.anc)
+	x.gain = slices.Clone(x.gain)
+	x.slot = make([]int32, x.metric.Ont.Len())
+	for lo := 0; lo < len(b.occ); {
+		c := x.pairs[b.occ[lo].pair].Concept
+		hi := lo + 1
+		for hi < len(b.occ) && x.pairs[b.occ[hi].pair].Concept == c {
+			hi++
+		}
+		x.addBucketLocked(c, b.occ[lo:hi:hi])
+		lo = hi
+	}
+	x.pending = nil
+}
+
+// cloneRows copies every row into its own allocation.
+func cloneRows[T any](rows [][]T) [][]T {
+	out := make([][]T, len(rows))
+	for i, r := range rows {
+		out[i] = slices.Clone(r)
+	}
+	return out
 }
 
 // nextGenLocked advances the candidate-stamp generation (wrap-safe).
@@ -224,17 +269,17 @@ func (x *Index) addOccurrenceLocked(u int, p model.Pair) {
 	x.pairs = append(x.pairs, p)
 	x.rootDist = append(x.rootDist, int32(ont.Depth(p.Concept)))
 	x.ones = append(x.ones, 1)
-	x.targetsByConcept[p.Concept] = append(x.targetsByConcept[p.Concept], int32(w))
-	x.edgeCand = append(x.edgeCand, nil)
-	x.edgeDist = append(x.edgeDist, nil)
+	x.bwd = append(x.bwd, nil)
 	x.edgeAnc = append(x.edgeAnc, nil)
-	if !x.dirtyMark[p.Concept] {
-		x.dirtyMark[p.Concept] = true
-		x.dirtyFrom[p.Concept] = int32(len(x.bucketCand[p.Concept]))
-		x.dirty = append(x.dirty, p.Concept)
+	b := x.bucketLocked(p.Concept)
+	if b == nil {
+		b = x.addBucketLocked(p.Concept, nil)
 	}
-	x.bucketCand[p.Concept] = append(x.bucketCand[p.Concept], int32(u))
-	x.bucketSent[p.Concept] = append(x.bucketSent[p.Concept], p.Sentiment)
+	if !b.dirty {
+		b.dirty, b.dirtyFrom = true, int32(len(b.occ))
+		x.dirty = append(x.dirty, x.slot[p.Concept]-1)
+	}
+	b.occ = append(b.occ, occurrence{cand: int32(u), pair: int32(w), sentiment: p.Sentiment})
 }
 
 // mergeLocked is the three-phase merge: (A) append the delta's
@@ -246,48 +291,25 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	ont := x.metric.Ont
 	oldPairs := len(x.pairs)
 	oldCand := x.numCand
+	if x.pending != nil {
+		x.materializeLocked()
+	}
 
 	// Phase A: extend U and the buckets in the same scan order the
 	// batch builder's counting sort produces (candidates ascending,
 	// pairs within a group in order).
-	switch x.gran {
-	case model.GranularityPairs:
-		for ri := range reviews {
-			for si := range reviews[ri].Sentences {
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					u := x.numCand
-					x.numCand++
-					x.addOccurrenceLocked(u, p)
-				}
-			}
+	groups, _ := itemGroups(&model.Item{Reviews: reviews}, x.gran)
+	for _, grp := range groups {
+		for _, p := range grp {
+			x.addOccurrenceLocked(x.numCand, p)
 		}
-	case model.GranularitySentences:
-		for ri := range reviews {
-			for si := range reviews[ri].Sentences {
-				u := x.numCand
-				x.numCand++
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					x.addOccurrenceLocked(u, p)
-				}
-			}
-		}
-	case model.GranularityReviews:
-		for ri := range reviews {
-			u := x.numCand
-			x.numCand++
-			for si := range reviews[ri].Sentences {
-				for _, p := range reviews[ri].Sentences[si].Pairs {
-					x.addOccurrenceLocked(u, p)
-				}
-			}
-		}
+		x.numCand++
 	}
 	for len(x.gain) < x.numCand {
 		x.gain = append(x.gain, 0)
 	}
-	for len(x.fwdPair) < x.numCand {
-		x.fwdPair = append(x.fwdPair, nil)
-		x.fwdDist = append(x.fwdDist, nil)
+	for len(x.fwd) < x.numCand {
+		x.fwd = append(x.fwd, nil)
 	}
 	if cap(x.stamp) < x.numCand {
 		grown := make([]uint32, x.numCand)
@@ -306,9 +328,14 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 	// concept may gain edges from that bucket's tail. Descendant sets
 	// bound the work by the delta's concepts, not the corpus size.
 	tgen := x.nextTargetGenLocked()
-	for _, c := range x.dirty {
-		for _, dc := range ont.Descendants(c) {
-			for _, t := range x.targetsByConcept[dc] {
+	for _, d := range x.dirty {
+		for _, dc := range ont.Descendants(x.buckets[d].concept) {
+			b := x.bucketLocked(dc)
+			if b == nil {
+				continue
+			}
+			for _, o := range b.occ {
+				t := o.pair
 				if int(t) >= oldPairs || x.tStamp[t] == tgen {
 					continue
 				}
@@ -324,40 +351,26 @@ func (x *Index) mergeLocked(reviews []model.Review) {
 		x.scanNewTargetLocked(w)
 	}
 
-	// New candidates received their OLD-target edges during phase B in
+	// New candidates received their OLD-target arcs during phase B in
 	// dirty-concept order, not target order; restore the ascending-target
 	// invariant by sorting that prefix (everything < oldPairs — phase C's
 	// new targets arrived after it, already ascending). Old candidates
 	// only gained ascending new targets and need nothing.
 	for u := oldCand; u < x.numCand; u++ {
-		row := x.fwdPair[u]
+		row := x.fwd[u]
 		split := 0
-		for split < len(row) && row[split] < int32(oldPairs) {
+		for split < len(row) && row[split].To < int32(oldPairs) {
 			split++
 		}
-		if split > 1 {
-			sort.Sort(fwdRowSorter{p: row[:split], d: x.fwdDist[u][:split]})
-		}
+		slices.SortFunc(row[:split], func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
 	}
 
-	for _, c := range x.dirty {
-		x.dirtyMark[c] = false
+	for _, d := range x.dirty {
+		x.buckets[d].dirty = false
 	}
 	x.dirty = x.dirty[:0]
 	x.numReviews += len(reviews)
 	x.frozen = nil
-}
-
-// fwdRowSorter co-sorts one forward row prefix by target index.
-type fwdRowSorter struct {
-	p, d []int32
-}
-
-func (s fwdRowSorter) Len() int           { return len(s.p) }
-func (s fwdRowSorter) Less(i, j int) bool { return s.p[i] < s.p[j] }
-func (s fwdRowSorter) Swap(i, j int) {
-	s.p[i], s.p[j] = s.p[j], s.p[i]
-	s.d[i], s.d[j] = s.d[j], s.d[i]
 }
 
 // patchTargetLocked re-probes only the dirty bucket TAILS for one old
@@ -372,22 +385,21 @@ func (x *Index) patchTargetLocked(w int) {
 	target := &x.pairs[w]
 	gen := x.nextGenLocked()
 	ids, dists := ont.Ancestors(target.Concept)
-	pc, pd, pa := x.pendCand[:0], x.pendDist[:0], x.pendAnc[:0]
+	pend, pa := x.pend[:0], x.pendAnc[:0]
 	for ai, anc := range ids {
-		if !x.dirtyMark[anc] {
+		b := x.bucketLocked(anc)
+		if b == nil || !b.dirty {
 			continue
 		}
 		isRoot := anc == root
 		d := dists[ai]
-		bc := x.bucketCand[anc]
-		bs := x.bucketSent[anc]
-		for bi := int(x.dirtyFrom[anc]); bi < len(bc); bi++ {
-			cand := bc[bi]
+		for _, o := range b.occ[b.dirtyFrom:] {
+			cand := o.cand
 			if x.stamp[cand] == gen {
 				continue
 			}
 			if !isRoot {
-				diff := bs[bi] - target.Sentiment
+				diff := o.sentiment - target.Sentiment
 				if diff < 0 {
 					diff = -diff
 				}
@@ -396,44 +408,39 @@ func (x *Index) patchTargetLocked(w int) {
 				}
 			}
 			x.stamp[cand] = gen
-			pc = append(pc, cand)
-			pd = append(pd, d)
+			pend = append(pend, Arc{To: cand, Dist: d})
 			pa = append(pa, int32(ai))
 		}
 	}
-	x.pendCand, x.pendDist, x.pendAnc = pc, pd, pa
-	if len(pc) == 0 {
+	x.pend, x.pendAnc = pend, pa
+	if len(pend) == 0 {
 		return
 	}
 
-	// Stable splice by ancestor position, old edges first at equal
+	// Stable splice by ancestor position, old arcs first at equal
 	// positions (their bucket occurrences precede the tail). Fresh row
-	// allocation keeps previously frozen graphs' rows untouched.
-	oc, od, oa := x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w]
-	nc := make([]int32, 0, len(oc)+len(pc))
-	nd := make([]int32, 0, len(oc)+len(pc))
-	na := make([]int32, 0, len(oc)+len(pc))
+	// allocation keeps previously handed-out graphs' rows untouched.
+	old, oa := x.bwd[w], x.edgeAnc[w]
+	nr := make([]Arc, 0, len(old)+len(pend))
+	na := make([]int32, 0, len(old)+len(pend))
 	i, j := 0, 0
-	for i < len(oc) && j < len(pc) {
+	for i < len(old) && j < len(pend) {
 		if oa[i] <= pa[j] {
-			nc, nd, na = append(nc, oc[i]), append(nd, od[i]), append(na, oa[i])
+			nr, na = append(nr, old[i]), append(na, oa[i])
 			i++
 		} else {
-			nc, nd, na = append(nc, pc[j]), append(nd, pd[j]), append(na, pa[j])
+			nr, na = append(nr, pend[j]), append(na, pa[j])
 			j++
 		}
 	}
-	nc = append(append(nc, oc[i:]...), pc[j:]...)
-	nd = append(append(nd, od[i:]...), pd[j:]...)
-	na = append(append(na, oa[i:]...), pa[j:]...)
-	x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w] = nc, nd, na
-	x.numEdges += len(pc)
+	x.bwd[w] = append(append(nr, old[i:]...), pend[j:]...)
+	x.edgeAnc[w] = append(append(na, oa[i:]...), pa[j:]...)
+	x.numEdges += len(pend)
 	rd := x.rootDist[w]
-	for j := range pc {
-		x.fwdPair[pc[j]] = append(x.fwdPair[pc[j]], int32(w))
-		x.fwdDist[pc[j]] = append(x.fwdDist[pc[j]], pd[j])
-		if diff := rd - pd[j]; diff > 0 {
-			x.gain[pc[j]] += int64(diff)
+	for _, a := range pend {
+		x.fwd[a.To] = append(x.fwd[a.To], Arc{To: int32(w), Dist: a.Dist})
+		if diff := rd - a.Dist; diff > 0 {
+			x.gain[a.To] += int64(diff)
 		}
 	}
 }
@@ -447,20 +454,23 @@ func (x *Index) scanNewTargetLocked(w int) {
 	target := &x.pairs[w]
 	gen := x.nextGenLocked()
 	ids, dists := ont.Ancestors(target.Concept)
-	var ec, ed, ea []int32
+	var row []Arc
+	var ea []int32
 	rd := x.rootDist[w]
 	for ai, anc := range ids {
 		isRoot := anc == root
 		d := dists[ai]
-		bc := x.bucketCand[anc]
-		bs := x.bucketSent[anc]
-		for bi := range bc {
-			cand := bc[bi]
+		b := x.bucketLocked(anc)
+		if b == nil {
+			continue
+		}
+		for _, o := range b.occ {
+			cand := o.cand
 			if x.stamp[cand] == gen {
 				continue
 			}
 			if !isRoot {
-				diff := bs[bi] - target.Sentiment
+				diff := o.sentiment - target.Sentiment
 				if diff < 0 {
 					diff = -diff
 				}
@@ -469,34 +479,33 @@ func (x *Index) scanNewTargetLocked(w int) {
 				}
 			}
 			x.stamp[cand] = gen
-			ec = append(ec, cand)
-			ed = append(ed, d)
+			row = append(row, Arc{To: cand, Dist: d})
 			ea = append(ea, int32(ai))
-			x.fwdPair[cand] = append(x.fwdPair[cand], int32(w))
-			x.fwdDist[cand] = append(x.fwdDist[cand], d)
+			x.fwd[cand] = append(x.fwd[cand], Arc{To: int32(w), Dist: d})
 			if diff := rd - d; diff > 0 {
 				x.gain[cand] += int64(diff)
 			}
 		}
 	}
-	x.edgeCand[w], x.edgeDist[w], x.edgeAnc[w] = ec, ed, ea
-	x.numEdges += len(ec)
+	x.bwd[w], x.edgeAnc[w] = row, ea
+	x.numEdges += len(row)
 }
 
-// freezeLocked materializes a row-backed Graph in O(|U| + |W|): both
-// adjacency directions hand out per-row slice headers over the index's
-// storage instead of rebuilding a CSR over every edge. Aliasing is
-// safe because merges never mutate a row a frozen graph can see:
+// freezeLocked hands out the memoized graph, or materializes one in
+// O(|U| + |W|): both adjacency directions get per-row slice headers
+// over the index's rows instead of a rebuild over every edge. Aliasing
+// is safe because merges never mutate a row a handed-out graph can
+// see:
 //
 //   - backward rows are never appended in place (patchTargetLocked
 //     allocates a fresh spliced row and swaps the OUTER slice element),
 //     so the outer slices are copied per freeze and the inner rows
 //     shared;
-//   - forward rows ARE appended in place, so each frozen alias is
+//   - forward rows ARE appended in place, so each alias is
 //     capacity-capped — an in-cap append by a later merge lands beyond
-//     the frozen length, an over-cap append reallocates.
+//     the graph's length, an over-cap append reallocates.
 //
-// Row contents and order match buildClosure's CSR exactly (backward:
+// Row contents and order match buildClosure's exactly (backward:
 // ancestor-major emission order; forward: ascending target), which the
 // equivalence tests fuzz via the accessor-level row comparison.
 func (x *Index) freezeLocked() *Graph {
@@ -511,6 +520,10 @@ func (x *Index) freezeLocked() *Graph {
 		RootDist:      x.rootDist[:np:np],
 		Weight:        x.ones[:np:np],
 		NumCandidates: nc,
+		numEdges:      x.numEdges,
+		bwd:           append([][]Arc(nil), x.bwd...),
+		fwd:           make([][]Arc, nc),
+		initGains:     append(make([]int64, 0, nc), x.gain...),
 	}
 	// Build from scratch returns non-nil (empty) RootDist/Weight even
 	// for a pairless corpus; match that shape exactly.
@@ -520,25 +533,9 @@ func (x *Index) freezeLocked() *Graph {
 	if g.Weight == nil {
 		g.Weight = make([]int32, 0)
 	}
-
-	g.rowBacked = true
-	g.rowEdges = x.numEdges
-	g.rowBwdCand = make([][]int32, np)
-	copy(g.rowBwdCand, x.edgeCand)
-	g.rowBwdDist = make([][]int32, np)
-	copy(g.rowBwdDist, x.edgeDist)
-	g.rowFwdPair = make([][]int32, nc)
-	g.rowFwdDist = make([][]int32, nc)
-	for u := 0; u < nc; u++ {
-		r := x.fwdPair[u]
-		g.rowFwdPair[u] = r[:len(r):len(r)]
-		d := x.fwdDist[u]
-		g.rowFwdDist[u] = d[:len(d):len(d)]
+	for u, r := range x.fwd {
+		g.fwd[u] = r[:len(r):len(r)]
 	}
-
-	g.initGains = make([]int64, nc)
-	copy(g.initGains, x.gain)
 	x.frozen = g
-	x.frozenReviews = x.numReviews
 	return g
 }

@@ -3,7 +3,9 @@ package coverage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"osars/internal/model"
 	"osars/internal/ontology"
@@ -60,23 +62,23 @@ var allGranularities = []model.Granularity{
 	model.GranularityPairs, model.GranularitySentences, model.GranularityReviews,
 }
 
-// requireInitGains asserts the index-maintained warm-start seed equals
-// the initial greedy gains computed from the graph.
+// requireInitGains asserts a graph's InitGains equal the initial
+// greedy gains Σ_w Weight[w]·max(0, RootDist[w]−d(u,w)) recomputed
+// from its forward rows.
 func requireInitGains(t *testing.T, g *Graph, label string) {
 	t.Helper()
 	gains := g.InitGains()
 	if gains == nil {
-		t.Fatalf("%s: frozen graph has no InitGains", label)
+		t.Fatalf("%s: graph has no InitGains", label)
 	}
 	if len(gains) != g.NumCandidates {
 		t.Fatalf("%s: InitGains len = %d, want %d", label, len(gains), g.NumCandidates)
 	}
 	for u := 0; u < g.NumCandidates; u++ {
 		want := int64(0)
-		pairs, dists := g.CoveredRow(u)
-		for i, w := range pairs {
-			if diff := g.RootDist[w] - dists[i]; diff > 0 {
-				want += int64(diff)
+		for _, a := range g.CoveredRow(u) {
+			if diff := g.RootDist[a.To] - a.Dist; diff > 0 {
+				want += int64(diff) * int64(g.Weight[a.To])
 			}
 		}
 		if gains[u] != want {
@@ -85,25 +87,32 @@ func requireInitGains(t *testing.T, g *Graph, label string) {
 	}
 }
 
-// requireIndexMatchesBuild merges the item into a fresh index along
-// the given append schedule, comparing every intermediate Freeze to a
-// from-scratch Build of the same prefix.
+// prefixItem is the snapshot of item holding its first n reviews.
+func prefixItem(item *model.Item, n int) *model.Item {
+	return &model.Item{ID: item.ID, Name: item.Name, Reviews: item.Reviews[:n]}
+}
+
+// requireIndexMatchesBuild advances a fresh index along the given
+// append schedule, comparing the graph after every step to a
+// from-scratch Build of the same prefix. The first non-empty chunk is
+// the index's bulk load; every later one is an incremental merge.
 func requireIndexMatchesBuild(t *testing.T, m model.Metric, item *model.Item, schedule []int, label string) {
 	t.Helper()
 	for _, g := range allGranularities {
 		idx := NewIndex(m, g)
 		done := 0
 		for step, chunk := range schedule {
-			idx.Merge(item.Reviews[done : done+chunk])
 			done += chunk
-			prefix := &model.Item{ID: item.ID, Name: item.Name, Reviews: item.Reviews[:done]}
-			got := idx.Freeze()
+			prefix := prefixItem(item, done)
+			idx.Advance(prefix)
+			got := idx.Graph(prefix)
 			want := Build(m, prefix, g)
 			lbl := fmt.Sprintf("%s/%v/step%d(+%d)", label, g, step, chunk)
 			requireGraphsEqual(t, got, want, lbl)
 			requireInitGains(t, got, lbl)
-			if again := idx.Freeze(); again != got {
-				t.Fatalf("%s: Freeze not memoized between merges", lbl)
+			requireInitGains(t, want, lbl+"/build")
+			if again := idx.Graph(prefix); again != got {
+				t.Fatalf("%s: Graph not memoized between merges", lbl)
 			}
 		}
 	}
@@ -145,12 +154,10 @@ func TestIndexMatchesBuildDiamond(t *testing.T) {
 	schedule := []int{1, 1, 1, 1}
 	requireIndexMatchesBuild(t, m, item, schedule, "diamond")
 
-	// One-shot merge must equal the same corpus merged review by review.
-	for _, g := range allGranularities {
-		idx := NewIndex(m, g)
-		idx.Merge(item.Reviews)
-		requireGraphsEqual(t, idx.Freeze(), Build(m, item, g), "diamond/oneshot/"+g.String())
-	}
+	// A one-shot bulk load, and one review loaded then the rest merged
+	// at once, must equal the corpus merged review by review.
+	requireIndexMatchesBuild(t, m, item, []int{4}, "diamond/oneshot")
+	requireIndexMatchesBuild(t, m, item, []int{1, 3}, "diamond/load+merge")
 }
 
 // TestIndexMatchesBuildFuzz fuzzes merge/freeze byte-equivalence
@@ -183,15 +190,17 @@ func TestIndexGraphCatchUp(t *testing.T) {
 	item := randomItem(rng, o, 6)
 
 	idx := NewIndex(m, model.GranularitySentences)
-	idx.Merge(item.Reviews[:2])
+	idx.Advance(prefixItem(item, 2))
 	// Catch-up from 2 to 6 reviews happens inside Graph.
 	got := idx.Graph(item)
 	if got == nil {
 		t.Fatal("Graph returned nil for a behind index")
 	}
 	requireGraphsEqual(t, got, Build(m, item, model.GranularitySentences), "catch-up")
-	if idx.NumReviews() != len(item.Reviews) {
-		t.Fatalf("NumReviews = %d after catch-up, want %d", idx.NumReviews(), len(item.Reviews))
+	// Caught up: advancing to the same snapshot merges nothing.
+	idx.Advance(item)
+	if again := idx.Graph(item); again != got {
+		t.Fatal("index merged again after catching up")
 	}
 
 	// A snapshot OLDER than the index cannot be served incrementally.
@@ -201,27 +210,103 @@ func TestIndexGraphCatchUp(t *testing.T) {
 	}
 }
 
-// TestIndexFrozenGraphsImmutable checks that a frozen graph's rows are
-// not mutated by later merges (readers may hold graphs across appends).
+// graphSnapshot deep-copies everything a graph exposes: both
+// directions' rows and InitGains.
+type graphSnapshot struct {
+	fwd, bwd [][]Arc
+	gains    []int64
+	cost     float64
+}
+
+func snapshotGraph(g *Graph) graphSnapshot {
+	var s graphSnapshot
+	for u := 0; u < g.NumCandidates; u++ {
+		s.fwd = append(s.fwd, append([]Arc{}, g.CoveredRow(u)...))
+	}
+	for w := range g.Pairs {
+		s.bwd = append(s.bwd, append([]Arc{}, g.CoverersRow(w)...))
+	}
+	s.gains = append([]int64{}, g.InitGains()...)
+	if g.NumCandidates > 0 {
+		s.cost = g.CostOf([]int{0})
+	}
+	return s
+}
+
+// sharesBacking reports whether two slices overlap in memory.
+func sharesBacking[T any](a, b []T) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[:1][0])
+	a0, b0 := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+// requireNoSharedOuter asserts a handed-out graph shares no outer slice
+// with the index storage later merges write.
+func requireNoSharedOuter(t *testing.T, g *Graph, x *Index, label string) {
+	t.Helper()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if sharesBacking(g.bwd, x.bwd) || sharesBacking(g.fwd, x.fwd) || sharesBacking(g.initGains, x.gain) {
+		t.Fatalf("%s: graph shares an outer slice with the index", label)
+	}
+}
+
+// TestIndexFrozenGraphsImmutable checks that a handed-out graph's rows
+// and InitGains are not mutated by later merges (readers may hold
+// graphs across appends), at every granularity: once for a graph taken
+// after incremental merges, once for the graph of a bulk load followed
+// by 1-review advances, which reallocate the capacity-capped forward
+// rows the bulk load produced. After those advances the index must not
+// hold any row of the bulk-load graph either, or the graph's flat
+// blocks would outlive it.
 func TestIndexFrozenGraphsImmutable(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	o := randomDAG(t, rng, 10)
 	m := model.Metric{Ont: o, Epsilon: 0.5}
-	item := randomItem(rng, o, 8)
+	item := randomItem(rng, o, 12)
 
-	idx := NewIndex(m, model.GranularityReviews)
-	idx.Merge(item.Reviews[:4])
-	snap := idx.Freeze()
-	before := graphEdges(t, snap)
-	costBefore := snap.CostOf([]int{0})
+	for _, g := range allGranularities {
+		for _, sc := range []struct {
+			name   string
+			before []int // advances up to the held graph
+			after  []int // advances while it is held
+			bulk   bool  // the held graph is the bulk load's
+		}{
+			{"merged", []int{2, 4}, []int{8, 12}, false},
+			{"bulk", []int{6}, []int{7, 8, 9, 10, 11, 12}, true},
+		} {
+			label := fmt.Sprintf("%v/%s", g, sc.name)
+			idx := NewIndex(m, g)
+			for _, n := range sc.before {
+				idx.Advance(prefixItem(item, n))
+			}
+			snap := idx.Graph(prefixItem(item, sc.before[len(sc.before)-1]))
+			before := snapshotGraph(snap)
 
-	idx.Merge(item.Reviews[4:])
-	idx.Freeze()
-
-	if got := graphEdges(t, snap); fmt.Sprint(got) != fmt.Sprint(before) {
-		t.Fatal("frozen graph edges changed after a later merge")
-	}
-	if got := snap.CostOf([]int{0}); got != costBefore {
-		t.Fatalf("frozen graph CostOf changed after a later merge: %v → %v", costBefore, got)
+			for _, n := range sc.after {
+				idx.Advance(prefixItem(item, n))
+				requireNoSharedOuter(t, snap, idx, label)
+				requireNoSharedOuter(t, idx.Graph(prefixItem(item, n)), idx, label)
+			}
+			if got := snapshotGraph(snap); !reflect.DeepEqual(got, before) {
+				t.Fatalf("%s: held graph changed after later merges", label)
+			}
+			requireGraphsEqual(t, snap, Build(m, prefixItem(item, sc.before[len(sc.before)-1]), g), label)
+			if sc.bulk {
+				for u := range snap.fwd {
+					if sharesBacking(snap.fwd[u], idx.fwd[u]) {
+						t.Fatalf("%s: index still holds forward row %d of the bulk-load graph", label, u)
+					}
+				}
+				for w := range snap.bwd {
+					if sharesBacking(snap.bwd[w], idx.bwd[w]) {
+						t.Fatalf("%s: index still holds backward row %d of the bulk-load graph", label, w)
+					}
+				}
+			}
+		}
 	}
 }

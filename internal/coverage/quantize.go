@@ -45,9 +45,6 @@ func BuildPairsQuantized(m model.Metric, pairs []model.Pair, grid float64) (g *G
 		weight = append(weight, 1)
 		rep = append(rep, i)
 	}
-	groups := make([][]model.Pair, len(unique))
-	for i := range unique {
-		groups[i] = unique[i : i+1]
-	}
-	return buildClosure(m, groups, unique, weight), rep
+	g, _ = buildClosure(m, singletons(unique), unique, weight, false)
+	return g, rep
 }

@@ -74,6 +74,8 @@ func TestQuickQuantizedCostsMatchMultiset(t *testing.T) {
 		m, P := randomPairsInstance(rng) // sentiments already on the 0.1 grid
 		full := BuildPairs(m, P)
 		q, rep := BuildPairsQuantized(m, P, 0.1)
+		requireInitGains(t, full, "multiset")
+		requireInitGains(t, q, "quantized")
 		if q.EmptyCost() != full.EmptyCost() {
 			return false
 		}

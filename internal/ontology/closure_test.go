@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// walkPairs collects an AncestorWalker walk as (id, dist) pairs.
+// walkPairs collects an ancestorWalker walk as (id, dist) pairs.
 func walkPairs(o *Ontology, c ConceptID) (ids []ConceptID, dists []int32) {
-	w := NewAncestorWalker(o)
-	w.Walk(c, func(anc ConceptID, dist int) bool {
+	w := newAncestorWalker(o)
+	w.walk(c, func(anc ConceptID, dist int) bool {
 		ids = append(ids, anc)
 		dists = append(dists, int32(dist))
 		return true
@@ -17,7 +17,7 @@ func walkPairs(o *Ontology, c ConceptID) (ids []ConceptID, dists []int32) {
 }
 
 // requireClosureMatchesWalker asserts that the precomputed closure row
-// of every concept equals a fresh AncestorWalker BFS: same ancestors,
+// of every concept equals a fresh ancestorWalker BFS: same ancestors,
 // same order, same shortest up-distances.
 func requireClosureMatchesWalker(t *testing.T, o *Ontology) {
 	t.Helper()
@@ -102,8 +102,8 @@ func TestUpDistanceMatchesWalker(t *testing.T) {
 	o, ids := buildDiamond(t)
 	for _, c := range ids {
 		seen := map[ConceptID]int{}
-		w := NewAncestorWalker(o)
-		w.Walk(c, func(anc ConceptID, dist int) bool {
+		w := newAncestorWalker(o)
+		w.walk(c, func(anc ConceptID, dist int) bool {
 			seen[anc] = dist
 			return true
 		})

@@ -22,11 +22,10 @@ func Example() {
 	fmt.Println("depth of resolution:", ont.Depth(resolution))
 	fmt.Println("screen is ancestor of resolution:", ont.IsAncestorOf(screen, resolution))
 
-	w := ontology.NewAncestorWalker(ont)
-	w.Walk(resolution, func(a ontology.ConceptID, dist int) bool {
-		fmt.Printf("  %s at %d\n", ont.Name(a), dist)
-		return true
-	})
+	ids, dists := ont.Ancestors(resolution)
+	for i, a := range ids {
+		fmt.Printf("  %s at %d\n", ont.Name(a), dists[i])
+	}
 	// Output:
 	// Ontology(4 concepts, 3 edges, depth 2)
 	// depth of resolution: 2

@@ -13,12 +13,11 @@
 //   - Depth(c): the shortest-path length from the root to c, which is
 //     the coverage distance d(r, c) of the root (Definition 1).
 //   - ancestor iteration with shortest up-distances (§4.1 second pass),
-//     provided in two forms: a flattened CSR ancestor closure computed
-//     once at Build time (Ancestors, the hot path — the paper's own
-//     scalability argument is that "the average number of ancestors per
-//     concept is small", so the closure is cheap to store), and
-//     AncestorWalker, the original per-walk BFS kept as the ablation
-//     reference.
+//     provided as a flattened CSR ancestor closure computed once at
+//     Build time (Ancestors — the paper's own scalability argument is
+//     that "the average number of ancestors per concept is small", so
+//     the closure is cheap to store). An ancestorWalker BFS computes
+//     it.
 package ontology
 
 import (
@@ -170,7 +169,7 @@ func (b *Builder) Build() (*Ontology, error) {
 // strict ancestors, BFS order, shortest up-distances) into one CSR
 // block. Must run after adjacency sorting so rows are deterministic.
 func (o *Ontology) buildAncestorClosure() {
-	w := NewAncestorWalker(o)
+	w := newAncestorWalker(o)
 	o.ancIdx = make([]int32, len(o.nodes)+1)
 	// Expect ≥2 entries per concept (self + root) on average; grow from
 	// there instead of reallocating from zero.
@@ -178,7 +177,7 @@ func (o *Ontology) buildAncestorClosure() {
 	o.ancDist = make([]int32, 0, 2*len(o.nodes))
 	for id := range o.nodes {
 		o.ancIdx[id] = int32(len(o.ancID))
-		w.Walk(ConceptID(id), func(a ConceptID, d int) bool {
+		w.walk(ConceptID(id), func(a ConceptID, d int) bool {
 			o.ancID = append(o.ancID, a)
 			o.ancDist = append(o.ancDist, int32(d))
 			return true
@@ -191,8 +190,7 @@ func (o *Ontology) buildAncestorClosure() {
 // (up-distance 0), then every strict ancestor of c in BFS order with
 // its shortest up-distance, so distances are non-decreasing. The
 // returned slices alias the ontology's internal storage and must not
-// be modified. This is the allocation-free hot-path replacement for
-// AncestorWalker.Walk.
+// be modified.
 func (o *Ontology) Ancestors(c ConceptID) (ids []ConceptID, dists []int32) {
 	lo, hi := o.ancIdx[c], o.ancIdx[c+1]
 	return o.ancID[lo:hi], o.ancDist[lo:hi]
@@ -366,16 +364,13 @@ func (o *Ontology) AvgAncestors() float64 {
 	return float64(len(o.ancID)-len(o.nodes)) / float64(len(o.nodes))
 }
 
-// AncestorWalker iterates the ancestors of a concept together with
-// their shortest up-distances, reusing scratch buffers across walks.
-// It implements the second pass of the initialization phase (§4.1):
-// "for each pair p = (c, s), iterate over the ancestors of c in the
-// DAG". The hot path now reads the precomputed closure via Ancestors;
-// the walker is kept as the ablation reference (it is also what the
-// closure itself is built from, so the two are equal by construction —
-// the equivalence tests assert it anyway). A walker is NOT safe for
-// concurrent use; create one per goroutine.
-type AncestorWalker struct {
+// ancestorWalker iterates the ancestors of a concept together with
+// their shortest up-distances, reusing scratch buffers across walks:
+// the "for each pair p = (c, s), iterate over the ancestors of c in
+// the DAG" of the §4.1 second pass. buildAncestorClosure runs it once
+// per concept; everything else reads the result through Ancestors. A
+// walker is NOT safe for concurrent use.
+type ancestorWalker struct {
 	o     *Ontology
 	dist  []int32
 	stamp []uint32
@@ -383,20 +378,20 @@ type AncestorWalker struct {
 	queue []ConceptID
 }
 
-// NewAncestorWalker returns a walker over o.
-func NewAncestorWalker(o *Ontology) *AncestorWalker {
-	return &AncestorWalker{
+// newAncestorWalker returns a walker over o.
+func newAncestorWalker(o *Ontology) *ancestorWalker {
+	return &ancestorWalker{
 		o:     o,
 		dist:  make([]int32, len(o.nodes)),
 		stamp: make([]uint32, len(o.nodes)),
 	}
 }
 
-// Walk calls visit(ancestor, upDistance) for c itself (distance 0) and
+// walk calls visit(ancestor, upDistance) for c itself (distance 0) and
 // every strict ancestor of c in BFS order (so distances are
 // non-decreasing and each is the shortest up-distance). Iteration stops
 // early if visit returns false.
-func (w *AncestorWalker) Walk(c ConceptID, visit func(anc ConceptID, dist int) bool) {
+func (w *ancestorWalker) walk(c ConceptID, visit func(anc ConceptID, dist int) bool) {
 	w.cur++
 	if w.cur == 0 { // stamp wrapped; reset
 		for i := range w.stamp {

@@ -86,8 +86,8 @@ func TestAncestry(t *testing.T) {
 func TestAncestorWalkerShortestDistances(t *testing.T) {
 	o, ids := buildDiamond(t)
 	got := map[ConceptID]int{}
-	w := NewAncestorWalker(o)
-	w.Walk(ids["leaf"], func(a ConceptID, d int) bool {
+	w := newAncestorWalker(o)
+	w.walk(ids["leaf"], func(a ConceptID, d int) bool {
 		got[a] = d
 		return true
 	})
@@ -107,8 +107,8 @@ func TestAncestorWalkerShortestDistances(t *testing.T) {
 func TestAncestorWalkerEarlyStop(t *testing.T) {
 	o, ids := buildDiamond(t)
 	n := 0
-	w := NewAncestorWalker(o)
-	w.Walk(ids["leaf"], func(ConceptID, int) bool {
+	w := newAncestorWalker(o)
+	w.walk(ids["leaf"], func(ConceptID, int) bool {
 		n++
 		return n < 2
 	})
@@ -119,15 +119,15 @@ func TestAncestorWalkerEarlyStop(t *testing.T) {
 
 func TestAncestorWalkerReuse(t *testing.T) {
 	o, ids := buildDiamond(t)
-	w := NewAncestorWalker(o)
+	w := newAncestorWalker(o)
 	for i := 0; i < 10; i++ {
 		count := 0
-		w.Walk(ids["leaf"], func(ConceptID, int) bool { count++; return true })
+		w.walk(ids["leaf"], func(ConceptID, int) bool { count++; return true })
 		if count != 5 {
 			t.Fatalf("walk %d visited %d, want 5", i, count)
 		}
 		count = 0
-		w.Walk(ids["a"], func(ConceptID, int) bool { count++; return true })
+		w.walk(ids["a"], func(ConceptID, int) bool { count++; return true })
 		if count != 2 {
 			t.Fatalf("walk %d from a visited %d, want 2", i, count)
 		}
@@ -307,10 +307,10 @@ func TestQuickWalkerMatchesUpDistance(t *testing.T) {
 			t.Logf("build: %v", err)
 			return false
 		}
-		w := NewAncestorWalker(o)
+		w := newAncestorWalker(o)
 		for c := ConceptID(0); int(c) < o.Len(); c++ {
 			seen := map[ConceptID]int{}
-			w.Walk(c, func(a ConceptID, d int) bool { seen[a] = d; return true })
+			w.walk(c, func(a ConceptID, d int) bool { seen[a] = d; return true })
 			for a, d := range seen {
 				if got := o.UpDistance(c, a); got != d {
 					t.Logf("UpDistance(%d,%d) = %d, walker %d", c, a, got, d)
@@ -384,9 +384,9 @@ func TestDeepChainStress(t *testing.T) {
 	if got := o.UpDistance(leaf, root); got != depth {
 		t.Fatalf("UpDistance = %d", got)
 	}
-	w := NewAncestorWalker(o)
+	w := newAncestorWalker(o)
 	count := 0
-	w.Walk(leaf, func(ConceptID, int) bool { count++; return true })
+	w.walk(leaf, func(ConceptID, int) bool { count++; return true })
 	if count != depth+1 {
 		t.Fatalf("walk visited %d, want %d", count, depth+1)
 	}

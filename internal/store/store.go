@@ -858,23 +858,23 @@ func (s *Store) solve(rt *ontoreg.Runtime, item *model.Item, gen uint64, k int, 
 	var err error
 	switch m {
 	case MethodGreedy:
-		if graph.InitGains() != nil {
-			// Index-frozen graph: warm-start from the previous selection
-			// at this (k, granularity). Identical result either way.
-			prev := s.warmResult(item.ID, rt.Version, k, g)
-			var hit bool
-			res, hit = summarize.GreedyWarm(graph, k, prev)
-			if hit {
-				s.warmHits.Add(1)
-				s.metrics.indexWarmHits.Inc()
-			} else {
-				s.warmFallbacks.Add(1)
-				s.metrics.indexWarmFallbacks.Inc()
-			}
-			s.storeWarm(item.ID, rt.Version, k, g, res)
-		} else {
+		if s.noIndex {
 			res = summarize.Greedy(graph, k)
+			break
 		}
+		// Warm-start from the previous selection at this (k,
+		// granularity). Identical result either way.
+		prev := s.warmResult(item.ID, rt.Version, k, g)
+		var hit bool
+		res, hit = summarize.GreedyWarm(graph, k, prev)
+		if hit {
+			s.warmHits.Add(1)
+			s.metrics.indexWarmHits.Inc()
+		} else {
+			s.warmFallbacks.Add(1)
+			s.metrics.indexWarmFallbacks.Inc()
+		}
+		s.storeWarm(item.ID, rt.Version, k, g, res)
 	case MethodRR:
 		res, err = summarize.RandomizedRounding(graph, k, rand.New(rand.NewSource(s.seed)), nil)
 	case MethodILP:

@@ -63,43 +63,23 @@ type greedyScratch struct {
 
 var greedyPool = sync.Pool{New: func() any { return new(greedyScratch) }}
 
-// Greedy runs Algorithm 2: start from F = {root}, repeat k times
-// adding the candidate with the largest cost reduction δ(p, F), chosen
-// by an indexed max-heap whose keys are updated incrementally through
-// the covered pairs' coverer lists (the "neighbors of neighbors" of
-// the selected candidate). The inner loops walk the graph's CSR rows
-// directly (CoveredRow/CoverersRow) rather than through the Covered /
-// Coverers closures, and all scratch state is pooled.
-func Greedy(g *coverage.Graph, k int) *Result {
-	checkK(g, k)
+// start sets up a solve from F = {root}: curDist[w] is the current
+// distance from F ∪ {root} to pair w, and the heap holds every
+// candidate keyed by its initial gain δ(u, {root}), which the graph
+// carries (Graph.InitGains).
+func (s *greedyScratch) start(g *coverage.Graph) (curDist []int32, heap *pq.Max) {
 	n := g.NumCandidates
-
-	s := greedyPool.Get().(*greedyScratch)
-	defer greedyPool.Put(s)
-
-	// curDist[w] = current distance from F ∪ {root} to pair w.
 	if cap(s.curDist) < len(g.Pairs) {
 		s.curDist = make([]int32, len(g.Pairs))
 	}
-	curDist := s.curDist[:len(g.Pairs)]
+	curDist = s.curDist[:len(g.Pairs)]
 	copy(curDist, g.RootDist)
 
-	// Initial keys: δ(u, {root}) = Σ_w max(0, RootDist[w] − d(u,w)).
-	// With F = {root}, curDist[w] − d is never negative (d ≤ RootDist
-	// by Definition 1), but keep the guard for safety with weighted
-	// duplicate edges.
 	if cap(s.keys) < n {
 		s.keys = make([]float64, n)
 	}
 	keys := s.keys[:n]
-	for u := 0; u < n; u++ {
-		gain := 0
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			if diff := curDist[w] - distsRow[i]; diff > 0 {
-				gain += int(diff) * int(g.Weight[w])
-			}
-		}
+	for u, gain := range g.InitGains() {
 		keys[u] = float64(gain)
 	}
 	if s.heap == nil {
@@ -107,29 +87,41 @@ func Greedy(g *coverage.Graph, k int) *Result {
 	} else {
 		s.heap.Reset(n)
 	}
-	heap := s.heap
-	heap.BuildFrom(keys)
+	s.heap.BuildFrom(keys)
+	return curDist, s.heap
+}
+
+// Greedy runs Algorithm 2: start from F = {root}, repeat k times
+// adding the candidate with the largest cost reduction δ(p, F), chosen
+// by an indexed max-heap whose keys are updated incrementally through
+// the covered pairs' coverer lists (the "neighbors of neighbors" of
+// the selected candidate). The inner loops walk the graph's rows
+// directly (CoveredRow/CoverersRow) rather than through the Covered /
+// Coverers closures, and all scratch state is pooled.
+func Greedy(g *coverage.Graph, k int) *Result {
+	checkK(g, k)
+	s := greedyPool.Get().(*greedyScratch)
+	defer greedyPool.Put(s)
+	curDist, heap := s.start(g)
 
 	res := &Result{Selected: make([]int, 0, k)}
 	for len(res.Selected) < k {
 		u, _ := heap.PopMax()
 		res.Selected = append(res.Selected, u)
 		// Tighten covered pairs and adjust affected coverers' keys.
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			d := distsRow[i]
+		for _, a := range g.CoveredRow(u) {
+			w, d := a.To, a.Dist
 			old := curDist[w]
 			if d >= old {
 				continue
 			}
 			weight := int(g.Weight[w])
-			cands, cdists := g.CoverersRow(int(w))
-			for j, q32 := range cands {
-				q := int(q32)
+			for _, c := range g.CoverersRow(int(w)) {
+				q := int(c.To)
 				if !heap.Contains(q) {
 					continue
 				}
-				dq := cdists[j]
+				dq := c.Dist
 				oldContrib := old - dq
 				if oldContrib < 0 {
 					oldContrib = 0
@@ -154,20 +146,15 @@ func Greedy(g *coverage.Graph, k int) *Result {
 }
 
 // GreedyWarm is Greedy restructured for warm, append-mostly serving:
-// the same selection as the cold run, computed lazily.
-//
-//   - Key initialization: when the graph carries maintained initial
-//     gains (Graph.InitGains, present on index-frozen graphs), the
-//     O(|E|) initialization scan becomes an O(|U|) copy.
-//   - Selection: lazy (CELF-style) instead of eager. Stored heap keys
-//     are upper bounds — a candidate's gain only shrinks as F grows
-//     (submodularity), and keys are only ever set to a formerly exact
-//     gain. Pop the max, recompute its exact gain over its covered
-//     row; if the gain still equals the stored key the pop is the true
-//     argmax and is selected, otherwise the candidate is pushed back
-//     with the refreshed key. This skips Greedy's
-//     neighbor-of-neighbor key maintenance entirely — nothing ever
-//     touches the backward adjacency.
+// the same selection as the cold run, computed lazily (CELF-style)
+// instead of eagerly. Stored heap keys are upper bounds — a
+// candidate's gain only shrinks as F grows (submodularity), and keys
+// are only ever set to a formerly exact gain. Pop the max, recompute
+// its exact gain over its covered row; if the gain still equals the
+// stored key the pop is the true argmax and is selected, otherwise the
+// candidate is pushed back with the refreshed key. This skips Greedy's
+// neighbor-of-neighbor key maintenance entirely — nothing ever touches
+// the backward adjacency.
 //
 // The result is IDENTICAL to Greedy's on every input, ties included:
 // a fresh pop's key bounds every other stored key and therefore every
@@ -186,46 +173,9 @@ func Greedy(g *coverage.Graph, k int) *Result {
 // counts, not a different answer.
 func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool) {
 	checkK(g, k)
-	n := g.NumCandidates
-
 	s := greedyPool.Get().(*greedyScratch)
 	defer greedyPool.Put(s)
-
-	if cap(s.curDist) < len(g.Pairs) {
-		s.curDist = make([]int32, len(g.Pairs))
-	}
-	curDist := s.curDist[:len(g.Pairs)]
-	copy(curDist, g.RootDist)
-
-	if cap(s.keys) < n {
-		s.keys = make([]float64, n)
-	}
-	keys := s.keys[:n]
-	if gains := g.InitGains(); gains != nil {
-		// Index-frozen graph: the initial keys were maintained at merge
-		// time (unit weights by construction of the index).
-		for u := 0; u < n; u++ {
-			keys[u] = float64(gains[u])
-		}
-	} else {
-		for u := 0; u < n; u++ {
-			gain := 0
-			pairsRow, distsRow := g.CoveredRow(u)
-			for i, w := range pairsRow {
-				if diff := curDist[w] - distsRow[i]; diff > 0 {
-					gain += int(diff) * int(g.Weight[w])
-				}
-			}
-			keys[u] = float64(gain)
-		}
-	}
-	if s.heap == nil {
-		s.heap = pq.NewMax(n)
-	} else {
-		s.heap.Reset(n)
-	}
-	heap := s.heap
-	heap.BuildFrom(keys)
+	curDist, heap := s.start(g)
 
 	warm = prev != nil && len(prev.Selected) >= k
 	res = &Result{Selected: make([]int, 0, k)}
@@ -235,10 +185,10 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 		// integers, keys are exact float64 images of integers, so the
 		// freshness test is an exact comparison, not a tolerance.
 		gain := 0
-		pairsRow, distsRow := g.CoveredRow(u)
-		for i, w := range pairsRow {
-			if diff := curDist[w] - distsRow[i]; diff > 0 {
-				gain += int(diff) * int(g.Weight[w])
+		row := g.CoveredRow(u)
+		for _, a := range row {
+			if diff := curDist[a.To] - a.Dist; diff > 0 {
+				gain += int(diff) * int(g.Weight[a.To])
 			}
 		}
 		if float64(gain) != key {
@@ -249,9 +199,9 @@ func GreedyWarm(g *coverage.Graph, k int, prev *Result) (res *Result, warm bool)
 			warm = false
 		}
 		res.Selected = append(res.Selected, u)
-		for i, w := range pairsRow {
-			if d := distsRow[i]; d < curDist[w] {
-				curDist[w] = d
+		for _, a := range row {
+			if a.Dist < curDist[a.To] {
+				curDist[a.To] = a.Dist
 			}
 		}
 	}

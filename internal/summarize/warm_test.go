@@ -24,8 +24,8 @@ func requireSameResult(t *testing.T, got, want *Result, label string) {
 }
 
 // TestGreedyWarmMatchesColdOnBatchGraphs checks the identity guarantee
-// on graphs WITHOUT maintained gains (InitGains == nil): GreedyWarm
-// must fall through to the cold key scan and select identically.
+// on graphs from the batch builder: GreedyWarm must select identically
+// to cold Greedy, with or without a seed.
 func TestGreedyWarmMatchesColdOnBatchGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
@@ -72,8 +72,8 @@ func warmTestItem(rng *rand.Rand, o *ontology.Ontology, reviews int) *model.Item
 }
 
 // TestGreedyWarmMatchesColdOnIndexGraphs is the tentpole guarantee:
-// over an appending corpus, warm-start greedy on the index-frozen
-// graph (maintained InitGains, previous selection as seed) returns a
+// over an appending corpus, warm-start greedy on the index's graph
+// (index-maintained InitGains, previous selection as seed) returns a
 // result identical to cold Greedy on a from-scratch build — at every
 // append step, every granularity, every tested k.
 func TestGreedyWarmMatchesColdOnIndexGraphs(t *testing.T) {
@@ -98,9 +98,9 @@ func TestGreedyWarmMatchesColdOnIndexGraphs(t *testing.T) {
 			idx := coverage.NewIndex(m, gran)
 			var prev *Result
 			for n := 1; n <= len(item.Reviews); n++ {
-				idx.Merge(item.Reviews[n-1 : n])
-				g := idx.Freeze()
-				coldG := coverage.Build(m, &model.Item{ID: item.ID, Reviews: item.Reviews[:n]}, gran)
+				prefix := &model.Item{ID: item.ID, Reviews: item.Reviews[:n]}
+				g := idx.Graph(prefix)
+				coldG := coverage.Build(m, prefix, gran)
 				k := 3
 				if k > g.NumCandidates {
 					k = g.NumCandidates
